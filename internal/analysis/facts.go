@@ -184,6 +184,8 @@ func ComputeFactsGraph(jobs []FactJob, analyzers []*Analyzer, fs *FactSet, worke
 		job        FactJob
 		blocked    int
 		dependents []*node
+		// poison is the failure of the first failed dependency, if any.
+		poison error
 	}
 	byPath := make(map[string]*node, len(jobs))
 	for i := range jobs {
@@ -210,34 +212,36 @@ func ComputeFactsGraph(jobs []FactJob, analyzers []*Analyzer, fs *FactSet, worke
 		pending  = len(jobs)
 		failures = make(map[string]error)
 	)
-	// markFailed records n as failed and cascades to dependents that have
-	// no other blockers left: dependents of a failed job must not run —
-	// their facts would be computed against a hole in the graph. Caller
-	// holds mu. Import graphs are acyclic, so the recursion terminates.
-	var markFailed func(n *node, err error)
-	markFailed = func(n *node, err error) {
-		failures[n.job.Path] = err
+	// finishLocked records n's outcome and unblocks its dependents. A
+	// dependent of a failed job is poisoned, whichever of its blockers
+	// failed: once its last blocker clears it fails in turn instead of
+	// running, since its facts would be computed against a hole in the
+	// graph. Caller holds mu. Import graphs are acyclic, so the recursion
+	// terminates.
+	var finishLocked func(n *node, err error)
+	finishLocked = func(n *node, err error) {
 		pending--
+		if err != nil {
+			failures[n.job.Path] = err
+		}
 		for _, dep := range n.dependents {
+			if err != nil && dep.poison == nil {
+				dep.poison = fmt.Errorf("dependency %s failed", n.job.Path)
+			}
 			dep.blocked--
-			if dep.blocked == 0 {
-				markFailed(dep, fmt.Errorf("dependency %s failed", n.job.Path))
+			if dep.blocked > 0 {
+				continue
+			}
+			if dep.poison != nil {
+				finishLocked(dep, dep.poison)
+			} else {
+				ready = append(ready, dep)
 			}
 		}
 	}
 	finish := func(n *node, err error) {
 		mu.Lock()
-		if err != nil {
-			markFailed(n, err)
-		} else {
-			pending--
-			for _, dep := range n.dependents {
-				dep.blocked--
-				if dep.blocked == 0 {
-					ready = append(ready, dep)
-				}
-			}
-		}
+		finishLocked(n, err)
 		cond.Broadcast()
 		mu.Unlock()
 	}

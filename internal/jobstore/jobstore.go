@@ -51,18 +51,19 @@ const (
 type Record struct {
 	// ID is the job's stable identity ("job-17"); it names the file.
 	ID string `json:"id"`
-	// Kind distinguishes query sweeps from experiment batches.
+	// Kind is the job's wire rendering: a query sweep or an experiment
+	// batch. Both run as a query spec.
 	Kind string `json:"kind"`
 	// State is the last journaled lifecycle state
 	// (queued/running/done/failed).
 	State string `json:"state"`
 	// Error carries a failed job's message.
 	Error string `json:"error,omitempty"`
-	// Experiments lists an experiments job's artifact names; Workers its
-	// requested parallelism.
+	// Experiments lists an experiments job's artifact names. Records
+	// written before experiments jobs ran as specs carry only these names
+	// (and a since-retired "workers" key, ignored on decode).
 	Experiments []string `json:"experiments,omitempty"`
-	Workers     int      `json:"workers,omitempty"`
-	// Spec is a query job's canonical spec (JSON), Fingerprint its stable
+	// Spec is the job's canonical spec (JSON), Fingerprint its stable
 	// qs1- identity.
 	Spec        json.RawMessage `json:"spec,omitempty"`
 	Fingerprint string          `json:"fingerprint,omitempty"`

@@ -645,7 +645,6 @@ func (s *Session) EvaluateAllFunc(ctx context.Context, q Spec, progress SweepPro
 	var collectWg sync.WaitGroup
 	collectWg.Add(1)
 	go func() {
-		defer collectWg.Done()
 		next := 0
 		for oc := range outcomes {
 			if oc.err != nil {
@@ -665,6 +664,12 @@ func (s *Session) EvaluateAllFunc(ctx context.Context, q Spec, progress SweepPro
 				next++
 			}
 		}
+		// Deliberately not deferred: a progress callback that panics
+		// takes the process down, and a deferred Done would let the
+		// caller see a successful sweep with a truncated progress prefix
+		// (and act on it, e.g. journal a job as done) while the process
+		// is still dying.
+		collectWg.Done()
 	}()
 
 	// Dispatch in expansion order and stop handing out work on the first

@@ -203,27 +203,16 @@ func (e Estimate) RelErr() float64 {
 	return e.StdErr / e.Mean
 }
 
-// EstimateRowFailure estimates pRF for a directional scenario of the
+// EstimateRowFailureContext estimates pRF for a directional scenario of the
 // prepared row model. The uncorrelated scenario is rejected for the
 // rare-event methods — it has the closed form rowyield.IndependentRowFailure
 // and needs no sampling. A model with per-CNT failure zero short-circuits to
-// an exact zero.
-//
-// Deprecated: use EstimateRowFailureContext. This shim detaches from any
-// caller context, so runs started through it can never carry the caller's
-// tracer; it is kept only until the remaining context-less callers migrate.
-func EstimateRowFailure(m *rowyield.RowModel, scenario rowyield.Scenario, opt Options) (Estimate, error) {
-	//yield:allow(ctxflow) deprecated context-less shim: detachment is its documented contract until callers migrate to EstimateRowFailureContext
-	return EstimateRowFailureContext(context.Background(), m, scenario, opt)
-}
-
-// EstimateRowFailureContext is EstimateRowFailure under a context: when the
-// context carries an obs.Tracer, the estimator records "mc.pilot" spans for
-// its tilt-selection pilots and an "mc.run" span (method, rounds, tilt θ,
-// achieved rel-err, engine counters) for the main run. Tracing never
-// changes the numbers — the context is observability-only, not
-// cancellation: runs are deterministic in (seed, options) and always
-// complete.
+// an exact zero. When the context carries an obs.Tracer, the estimator
+// records "mc.pilot" spans for its tilt-selection pilots and an "mc.run"
+// span (method, rounds, tilt θ, achieved rel-err, engine counters) for the
+// main run. Tracing never changes the numbers — the context is
+// observability-only, not cancellation: runs are deterministic in
+// (seed, options) and always complete.
 func EstimateRowFailureContext(ctx context.Context, m *rowyield.RowModel, scenario rowyield.Scenario, opt Options) (Estimate, error) {
 	if err := m.Prepare(); err != nil {
 		return Estimate{}, err

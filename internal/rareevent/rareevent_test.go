@@ -1,6 +1,7 @@
 package rareevent
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -78,7 +79,7 @@ func TestZeroPFShortCircuits(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, method := range []Method{Plain, Tilted, Splitting, Auto} {
-		est, err := EstimateRowFailure(m, rowyield.DirectionalUnaligned, Options{Method: method})
+		est, err := EstimateRowFailureContext(context.Background(), m, rowyield.DirectionalUnaligned, Options{Method: method})
 		if err != nil {
 			t.Fatalf("%v: %v", method, err)
 		}
@@ -90,10 +91,10 @@ func TestZeroPFShortCircuits(t *testing.T) {
 
 func TestUncorrelatedRejectsRareEventMethods(t *testing.T) {
 	m := probeModel(t, 142.7)
-	if _, err := EstimateRowFailure(m, rowyield.UncorrelatedGrowth, Options{Method: Tilted}); err == nil {
+	if _, err := EstimateRowFailureContext(context.Background(), m, rowyield.UncorrelatedGrowth, Options{Method: Tilted}); err == nil {
 		t.Fatal("tilted estimator accepted the uncorrelated scenario")
 	}
-	if _, err := EstimateRowFailure(m, rowyield.UncorrelatedGrowth, Options{Method: Splitting}); err == nil {
+	if _, err := EstimateRowFailureContext(context.Background(), m, rowyield.UncorrelatedGrowth, Options{Method: Splitting}); err == nil {
 		t.Fatal("splitting estimator accepted the uncorrelated scenario")
 	}
 }
@@ -103,13 +104,13 @@ func TestUncorrelatedRejectsRareEventMethods(t *testing.T) {
 // honestly, requiring agreement within 3 combined standard errors.
 func TestTiltedMatchesPlain(t *testing.T) {
 	m := probeModel(t, 142.7)
-	plain, err := EstimateRowFailure(m, rowyield.DirectionalUnaligned, Options{
+	plain, err := EstimateRowFailureContext(context.Background(), m, rowyield.DirectionalUnaligned, Options{
 		Method: Plain, RelErrTarget: 0.05, MaxRounds: 1 << 23,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tilt, err := EstimateRowFailure(m, rowyield.DirectionalUnaligned, Options{
+	tilt, err := EstimateRowFailureContext(context.Background(), m, rowyield.DirectionalUnaligned, Options{
 		Method: Tilted, RelErrTarget: 0.05,
 	})
 	if err != nil {
@@ -128,7 +129,7 @@ func TestTiltedMatchesPlain(t *testing.T) {
 // precision; the tilted estimator gets there in about a million.
 func TestDeepTailAcceptance(t *testing.T) {
 	m := probeModel(t, 270)
-	est, err := EstimateRowFailure(m, rowyield.DirectionalUnaligned, Options{
+	est, err := EstimateRowFailureContext(context.Background(), m, rowyield.DirectionalUnaligned, Options{
 		Method: Tilted, RelErrTarget: 0.1,
 	})
 	if err != nil {
@@ -159,13 +160,13 @@ func TestSplittingAgreesWithTilted(t *testing.T) {
 		t.Skip("multi-second splitting run")
 	}
 	m := probeModel(t, 142.7)
-	tilt, err := EstimateRowFailure(m, rowyield.DirectionalUnaligned, Options{
+	tilt, err := EstimateRowFailureContext(context.Background(), m, rowyield.DirectionalUnaligned, Options{
 		Method: Tilted, RelErrTarget: 0.05,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	split, err := EstimateRowFailure(m, rowyield.DirectionalUnaligned, Options{
+	split, err := EstimateRowFailureContext(context.Background(), m, rowyield.DirectionalUnaligned, Options{
 		Method: Splitting, Population: 256, Moves: 8,
 		MaxRounds: 256 * splitLevelGuess * 48,
 	})
@@ -206,7 +207,7 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 			estimate := func(workers int) Estimate {
 				opt := tc.opt
 				opt.Workers = workers
-				est, err := EstimateRowFailure(m, rowyield.DirectionalUnaligned, opt)
+				est, err := EstimateRowFailureContext(context.Background(), m, rowyield.DirectionalUnaligned, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -240,7 +241,7 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 func TestVarianceReductionGate(t *testing.T) {
 	const target = 0.1
 	m := probeModel(t, 200)
-	tilt, err := EstimateRowFailure(m, rowyield.DirectionalUnaligned, Options{
+	tilt, err := EstimateRowFailureContext(context.Background(), m, rowyield.DirectionalUnaligned, Options{
 		Method: Tilted, RelErrTarget: target,
 	})
 	if err != nil {
@@ -289,7 +290,7 @@ func TestAutoSelection(t *testing.T) {
 		{270, Tilted},
 	} {
 		m := probeModel(t, tc.width)
-		est, err := EstimateRowFailure(m, rowyield.DirectionalUnaligned, Options{
+		est, err := EstimateRowFailureContext(context.Background(), m, rowyield.DirectionalUnaligned, Options{
 			Method: Auto, RelErrTarget: 0.1,
 		})
 		if err != nil {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 )
@@ -23,7 +24,13 @@ type flightCall struct {
 	err  error
 }
 
-// do runs fn under the key, or waits for an identical in-flight call.
+// errFlightPanicked is what waiting callers receive when the leading call
+// panicked: the panic itself propagates only in the leader's goroutine.
+var errFlightPanicked = errors.New("shared evaluation panicked; retry")
+
+// do runs fn under the key, or waits for an identical in-flight call. The
+// key is released and waiters are woken even if fn panics, so one panic
+// never wedges later calls for the same key.
 func (g *flightGroup) do(key string, fn func() (any, error)) (any, error) {
 	g.mu.Lock()
 	if g.calls == nil {
@@ -35,16 +42,17 @@ func (g *flightGroup) do(key string, fn func() (any, error)) (any, error) {
 		<-c.done
 		return c.val, c.err
 	}
-	c := &flightCall{done: make(chan struct{})}
+	c := &flightCall{done: make(chan struct{}), err: errFlightPanicked}
 	g.calls[key] = c
 	g.mu.Unlock()
+	defer func() {
+		g.mu.Lock()
+		delete(g.calls, key)
+		g.mu.Unlock()
+		close(c.done)
+	}()
 
 	c.val, c.err = fn()
-
-	g.mu.Lock()
-	delete(g.calls, key)
-	g.mu.Unlock()
-	close(c.done)
 	return c.val, c.err
 }
 

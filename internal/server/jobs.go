@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/cnfet/yieldlab/internal/experiments"
 	"github.com/cnfet/yieldlab/internal/fault"
 	"github.com/cnfet/yieldlab/internal/jobstore"
 	"github.com/cnfet/yieldlab/internal/obs"
@@ -26,7 +25,11 @@ const (
 	JobFailed  = "failed"
 )
 
-// Job kinds.
+// Job kinds. Every job runs the same way — a canonical query.Spec
+// evaluated by the session — and the kind only selects the wire rendering:
+// an experiments job (POST /v1/experiments) answers with its experiment
+// names and artifacts, a query job (POST /v2/query?async=1) with its spec,
+// fingerprint, progress and per-spec results.
 const (
 	JobKindExperiments = "experiments"
 	JobKindQuery       = "query"
@@ -42,7 +45,7 @@ type JobJSON struct {
 	State       string   `json:"state"`
 	Error       string   `json:"error,omitempty"`
 	// Results carries a finished experiments job's artifacts.
-	Results []ResultJSON `json:"results,omitempty"`
+	Results []query.ResultJSON `json:"results,omitempty"`
 	// Query echoes a query job's canonical spec and Fingerprint its stable
 	// identity; QueryResults grows in expansion order while the sweep runs
 	// (checkpointed partial results), and Done/Total report its progress.
@@ -66,19 +69,16 @@ type jobRecord struct {
 	// tracer) before evaluating, keeping only the request's values.
 	ctx context.Context
 
-	// Experiments jobs.
-	names   []string
-	runner  *experiments.Runner
-	workers int
-	results []ResultJSON
-
-	// Query jobs.
-	spec        *query.Spec
+	// kind selects the wire rendering (JobKindQuery or JobKindExperiments).
+	kind string
+	// spec is the canonical spec the job evaluates and fingerprint its
+	// identity; results grows in expansion order as the sweep completes,
+	// with done/total reporting progress.
+	spec        query.Spec
 	fingerprint string
-	session     *query.Session
-	qresults    []query.Result
-	qdone       int
-	qtotal      int
+	results     []query.Result
+	done        int
+	total       int
 
 	created  time.Time
 	started  time.Time
@@ -86,9 +86,8 @@ type jobRecord struct {
 }
 
 // jobEngine runs jobs on a bounded pool and retains a bounded history.
-// Each job parallelizes internally (the concurrent Runner for experiment
-// batches, the session's worker pool for query sweeps); the engine's own
-// bound limits how many jobs compute at once.
+// Each job parallelizes internally on the session's worker pool; the
+// engine's own bound limits how many jobs compute at once.
 //
 // With a journal attached, every admitted job is durable: its spec,
 // state transitions and a stride-throttled prefix of its results are
@@ -102,9 +101,9 @@ type jobEngine struct {
 	maxJobs int
 	nextID  int
 
-	sem    chan struct{} // bounds concurrently running jobs
-	wg     sync.WaitGroup
-	onDone func() // called after each job finishes (cache persistence hook)
+	session *query.Session
+	sem     chan struct{} // bounds concurrently running jobs
+	wg      sync.WaitGroup
 
 	// journal, when non-nil, persists job records across restarts.
 	// Journal writes are best-effort: a failed Put degrades durability
@@ -114,7 +113,7 @@ type jobEngine struct {
 	lastJournalErr atomic.Pointer[string]
 }
 
-func newJobEngine(maxJobs, concurrent int, onDone func(), journal *jobstore.Store) *jobEngine {
+func newJobEngine(session *query.Session, maxJobs, concurrent int, journal *jobstore.Store) *jobEngine {
 	// Config defaults are applied in server.New; these floors only guard
 	// direct construction in tests.
 	if maxJobs <= 0 {
@@ -126,8 +125,8 @@ func newJobEngine(maxJobs, concurrent int, onDone func(), journal *jobstore.Stor
 	return &jobEngine{
 		jobs:    make(map[string]*jobRecord),
 		maxJobs: maxJobs,
+		session: session,
 		sem:     make(chan struct{}, concurrent),
-		onDone:  onDone,
 		journal: journal,
 	}
 }
@@ -153,11 +152,6 @@ func (e *jobEngine) enqueue(j *jobRecord) (JobJSON, error) {
 	}
 	e.nextID++
 	j.id = fmt.Sprintf("job-%d", e.nextID)
-	if j.ctx == nil {
-		// Direct construction in tests; handlers always pass a request
-		// context through submit/submitQuery.
-		j.ctx = context.Background()
-	}
 	j.state = JobQueued
 	j.created = time.Now()
 	e.jobs[j.id] = j
@@ -173,28 +167,17 @@ func (e *jobEngine) enqueue(j *jobRecord) (JobJSON, error) {
 	return snap, nil
 }
 
-// submit queues an experiments job over pre-validated experiment names.
-// Open (queued or running) jobs are bounded by the same maxJobs knob as the
-// retained history, so a submit flood is refused instead of growing records
-// and goroutines without limit.
-func (e *jobEngine) submit(ctx context.Context, runner *experiments.Runner, names []string, workers int) (JobJSON, error) {
-	return e.enqueue(&jobRecord{
-		ctx:     ctx,
-		names:   append([]string(nil), names...),
-		runner:  runner,
-		workers: workers,
-	})
-}
-
-// submitQuery queues a query-sweep job over a canonical spec.
-func (e *jobEngine) submitQuery(ctx context.Context, session *query.Session, spec query.Spec, fingerprint string) (JobJSON, error) {
-	specCopy := spec
+// submitQuery queues a job over a canonical spec, rendered as kind. Open
+// (queued or running) jobs are bounded by the same maxJobs knob as the
+// retained history, so a submit flood is refused instead of growing
+// records and goroutines without limit.
+func (e *jobEngine) submitQuery(ctx context.Context, kind string, spec query.Spec, fingerprint string) (JobJSON, error) {
 	return e.enqueue(&jobRecord{
 		ctx:         ctx,
-		spec:        &specCopy,
+		kind:        kind,
+		spec:        spec,
 		fingerprint: fingerprint,
-		session:     session,
-		qtotal:      spec.ExpandCount(),
+		total:       spec.ExpandCount(),
 	})
 }
 
@@ -206,7 +189,7 @@ func (e *jobEngine) submitQuery(ctx context.Context, session *query.Session, spe
 // already quarantined by LoadAll; records that fail semantic decode here
 // (e.g. an unknown kind) are dropped from the journal and counted as
 // journal errors.
-func (e *jobEngine) adopt(session *query.Session, runner *experiments.Runner, workers int) (resumed int, err error) {
+func (e *jobEngine) adopt() (resumed int, err error) {
 	if e.journal == nil {
 		return 0, nil
 	}
@@ -219,7 +202,7 @@ func (e *jobEngine) adopt(session *query.Session, runner *experiments.Runner, wo
 	sort.SliceStable(recs, func(i, j int) bool { return jobSeq(recs[i].ID) < jobSeq(recs[j].ID) })
 	var drop []string
 	for _, rec := range recs {
-		j, ok := e.restore(rec, session, runner, workers)
+		j, ok := e.restore(rec)
 		if !ok {
 			drop = append(drop, rec.ID)
 			continue
@@ -250,63 +233,59 @@ func (e *jobEngine) adopt(session *query.Session, runner *experiments.Runner, wo
 	return resumed, nil
 }
 
-// restore rebuilds one in-memory record from its journaled form.
-func (e *jobEngine) restore(rec jobstore.Record, session *query.Session, runner *experiments.Runner, workers int) (*jobRecord, bool) {
+// restore rebuilds one in-memory record from its journaled form. Records
+// of both kinds carry their canonical spec, except experiments records
+// journaled before experiments jobs ran as specs: those name only their
+// experiments, so their spec is rebuilt from the names under the session's
+// default seed — the seed such records always resumed with, since an
+// override was never journaled.
+func (e *jobEngine) restore(rec jobstore.Record) (*jobRecord, bool) {
 	j := &jobRecord{
 		id:       rec.ID,
 		state:    rec.State,
 		err:      rec.Error,
-		ctx:      context.Background(),
+		kind:     rec.Kind,
 		created:  rec.Created,
 		started:  rec.Started,
 		finished: rec.Finished,
 	}
+	// An adopted job has no submitting request left to inherit from.
+	j.ctx = context.Background() //yield:allow(ctxflow) adopted jobs are roots by design; restore itself only validates the spec
+	fail := func(format string, args ...any) (*jobRecord, bool) {
+		e.noteJournalErr(fmt.Errorf("job %s: "+format, append([]any{rec.ID}, args...)...))
+		return nil, false
+	}
 	switch rec.State {
 	case JobQueued, JobRunning, JobDone, JobFailed:
 	default:
-		e.noteJournalErr(fmt.Errorf("job %s: unknown state %q", rec.ID, rec.State))
-		return nil, false
+		return fail("unknown state %q", rec.State)
 	}
-	switch rec.Kind {
-	case JobKindQuery:
-		var spec query.Spec
+	var spec query.Spec
+	switch {
+	case rec.Kind != JobKindQuery && rec.Kind != JobKindExperiments:
+		return fail("unknown kind %q", rec.Kind)
+	case len(rec.Spec) > 0:
 		if err := json.Unmarshal(rec.Spec, &spec); err != nil {
-			e.noteJournalErr(fmt.Errorf("job %s: spec: %w", rec.ID, err))
-			return nil, false
+			return fail("spec: %w", err)
 		}
-		j.spec = &spec
-		j.fingerprint = rec.Fingerprint
-		j.session = session
-		j.qtotal = rec.Total
-		if j.qtotal == 0 {
-			j.qtotal = spec.ExpandCount()
-		}
-		if len(rec.Results) > 0 {
-			if err := json.Unmarshal(rec.Results, &j.qresults); err != nil {
-				e.noteJournalErr(fmt.Errorf("job %s: results: %w", rec.ID, err))
-				return nil, false
-			}
-		}
-		// The decoded prefix is the truth about progress, not the
-		// journaled counter (a crash can land between the two).
-		j.qdone = len(j.qresults)
-	case JobKindExperiments:
-		j.names = append([]string(nil), rec.Experiments...)
-		j.runner = runner
-		j.workers = rec.Workers
-		if j.workers <= 0 {
-			j.workers = workers
-		}
-		if len(rec.Results) > 0 {
-			if err := json.Unmarshal(rec.Results, &j.results); err != nil {
-				e.noteJournalErr(fmt.Errorf("job %s: results: %w", rec.ID, err))
-				return nil, false
-			}
-		}
+	case rec.Kind == JobKindExperiments:
+		spec = query.Spec{Kind: query.KindExperiment, Experiments: rec.Experiments}
 	default:
-		e.noteJournalErr(fmt.Errorf("job %s: unknown kind %q", rec.ID, rec.Kind))
-		return nil, false
+		return fail("no spec")
 	}
+	canon, fp, err := spec.Canonical()
+	if err != nil {
+		return fail("spec: %w", err)
+	}
+	j.spec, j.fingerprint, j.total = canon, fp, canon.ExpandCount()
+	if len(rec.Results) > 0 {
+		if j.results, err = decodeJournalResults(j.kind, canon, fp, rec.Results); err != nil {
+			return fail("results: %w", err)
+		}
+	}
+	// The decoded prefix is the truth about progress, not the journaled
+	// counter (a crash can land between the two).
+	j.done = len(j.results)
 	return j, true
 }
 
@@ -348,9 +327,7 @@ func (e *jobEngine) run(j *jobRecord) {
 	}
 	e.mu.Unlock()
 	e.journalPut(j)
-	if e.onDone != nil {
-		e.onDone()
-	}
+	e.session.Checkpoint()
 }
 
 // execute runs one job's work and converts panics — genuine bugs or an
@@ -365,18 +342,8 @@ func (e *jobEngine) execute(ctx context.Context, j *jobRecord) (err error) {
 	if err := fault.InjectContext(ctx, fault.SiteJobRun); err != nil {
 		return err
 	}
-	if j.spec == nil {
-		results, err := j.runner.RunMany(j.names, j.workers)
-		if err != nil {
-			return err
-		}
-		e.mu.Lock()
-		j.results = EncodeResults(results)
-		e.mu.Unlock()
-		return nil
-	}
 	e.mu.Lock()
-	resume := len(j.qresults) > 0
+	resume := len(j.results) > 0
 	e.mu.Unlock()
 	if resume {
 		return e.resumeQuery(ctx, j)
@@ -385,12 +352,12 @@ func (e *jobEngine) execute(ctx context.Context, j *jobRecord) (err error) {
 	// grows, so a polling client watches the sweep fill in. The journal
 	// write is throttled to a stride: re-marshaling the growing prefix on
 	// every result would cost O(n²) over a large sweep.
-	stride := journalStride(j.qtotal)
-	_, err = j.session.EvaluateAllFunc(ctx, *j.spec,
+	stride := journalStride(j.total)
+	_, err = e.session.EvaluateAllFunc(ctx, j.spec,
 		func(done, total int, r query.Result) {
 			e.mu.Lock()
-			j.qresults = append(j.qresults, r)
-			j.qdone, j.qtotal = done, total
+			j.results = append(j.results, r)
+			j.done, j.total = done, total
 			e.mu.Unlock()
 			if e.journal != nil && (done%stride == 0 || done == total) {
 				e.journalPut(j)
@@ -417,27 +384,27 @@ func (e *jobEngine) resumeQuery(ctx context.Context, j *jobRecord) error {
 		return err
 	}
 	e.mu.Lock()
-	if len(j.qresults) > len(specs) {
+	if len(j.results) > len(specs) {
 		// A journaled prefix longer than the expansion means the spec and
 		// results disagree; distrust the prefix entirely.
-		j.qresults = nil
-		j.qdone = 0
+		j.results = nil
+		j.done = 0
 	}
-	j.qtotal = len(specs)
-	start := len(j.qresults)
+	j.total = len(specs)
+	start := len(j.results)
 	e.mu.Unlock()
 	for idx := start; idx < len(specs); idx++ {
-		res, err := j.session.Evaluate(ctx, specs[idx])
+		res, err := e.session.Evaluate(ctx, specs[idx])
 		if err != nil {
 			// Mirror EvaluateAllFunc's error shape so a resumed failure
 			// reads identically to a fresh one.
 			return fmt.Errorf("query: spec %d/%d: %w", idx+1, len(specs), err)
 		}
 		e.mu.Lock()
-		j.qresults = append(j.qresults, res)
-		j.qdone = idx + 1
+		j.results = append(j.results, res)
+		j.done = idx + 1
 		e.mu.Unlock()
-		j.session.Checkpoint()
+		e.session.Checkpoint()
 		e.journalPut(j)
 		if ferr := fault.Inject(fault.SiteJobResult); ferr != nil {
 			return ferr
@@ -490,42 +457,54 @@ func (e *jobEngine) journalStats() (errs uint64, last string) {
 // journalRecordLocked builds j's durable form; e.mu must be held.
 func (j *jobRecord) journalRecordLocked() (jobstore.Record, error) {
 	rec := jobstore.Record{
-		ID:       j.id,
-		Kind:     JobKindExperiments,
-		State:    j.state,
-		Error:    j.err,
-		Created:  j.created,
-		Started:  j.started,
-		Finished: j.finished,
+		ID:          j.id,
+		Kind:        j.kind,
+		State:       j.state,
+		Error:       j.err,
+		Fingerprint: j.fingerprint,
+		Done:        j.done,
+		Total:       j.total,
+		Created:     j.created,
+		Started:     j.started,
+		Finished:    j.finished,
 	}
-	if j.spec != nil {
-		rec.Kind = JobKindQuery
-		rec.Fingerprint = j.fingerprint
-		rec.Done, rec.Total = j.qdone, j.qtotal
-		spec, err := json.Marshal(j.spec)
-		if err != nil {
-			return rec, fmt.Errorf("journal %s: spec: %w", j.id, err)
-		}
-		rec.Spec = spec
-		if len(j.qresults) > 0 {
-			results, err := json.Marshal(j.qresults)
-			if err != nil {
-				return rec, fmt.Errorf("journal %s: results: %w", j.id, err)
-			}
-			rec.Results = results
-		}
-		return rec, nil
+	spec, err := json.Marshal(j.spec)
+	if err != nil {
+		return rec, fmt.Errorf("journal %s: spec: %w", j.id, err)
 	}
-	rec.Experiments = append([]string(nil), j.names...)
-	rec.Workers = j.workers
+	rec.Spec = spec
+	// An experiments job journals its names and, once done, its artifacts
+	// (its one result's payload) — the layout its records always had.
+	var payload any = j.results
+	if j.kind == JobKindExperiments {
+		rec.Experiments = append([]string(nil), j.spec.Experiments...)
+		if len(j.results) > 0 {
+			payload = j.results[0].Experiments
+		}
+	}
 	if len(j.results) > 0 {
-		results, err := json.Marshal(j.results)
+		results, err := json.Marshal(payload)
 		if err != nil {
 			return rec, fmt.Errorf("journal %s: results: %w", j.id, err)
 		}
 		rec.Results = results
 	}
 	return rec, nil
+}
+
+// decodeJournalResults inverts journalRecordLocked's results encoding: it
+// rebuilds the result prefix of a job of the given kind.
+func decodeJournalResults(kind string, spec query.Spec, fp string, data []byte) ([]query.Result, error) {
+	if kind == JobKindExperiments {
+		var artifacts []query.ResultJSON
+		if err := json.Unmarshal(data, &artifacts); err != nil {
+			return nil, err
+		}
+		return []query.Result{{Spec: spec, Fingerprint: fp, Experiments: artifacts}}, nil
+	}
+	var results []query.Result
+	err := json.Unmarshal(data, &results)
+	return results, err
 }
 
 // forgetJournal drops evicted jobs' records. Called without e.mu held:
@@ -610,21 +589,23 @@ func (e *jobEngine) evictLocked() []string {
 
 func (j *jobRecord) snapshotLocked() JobJSON {
 	out := JobJSON{
-		ID:          j.id,
-		Kind:        JobKindExperiments,
-		Experiments: append([]string(nil), j.names...),
-		State:       j.state,
-		Error:       j.err,
-		Results:     j.results,
-		CreatedAt:   j.created,
+		ID:        j.id,
+		Kind:      j.kind,
+		State:     j.state,
+		Error:     j.err,
+		CreatedAt: j.created,
 	}
-	if j.spec != nil {
-		out.Kind = JobKindQuery
-		specCopy := *j.spec
-		out.Query = &specCopy
+	if j.kind == JobKindExperiments {
+		out.Experiments = append([]string(nil), j.spec.Experiments...)
+		if len(j.results) > 0 {
+			out.Results = j.results[0].Experiments
+		}
+	} else {
+		spec := j.spec
+		out.Query = &spec
 		out.Fingerprint = j.fingerprint
-		out.QueryResults = append([]query.Result(nil), j.qresults...)
-		out.Done, out.Total = j.qdone, j.qtotal
+		out.QueryResults = append([]query.Result(nil), j.results...)
+		out.Done, out.Total = j.done, j.total
 	}
 	if !j.started.IsZero() {
 		t := j.started

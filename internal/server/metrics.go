@@ -10,11 +10,7 @@ import (
 	"sync"
 
 	"github.com/cnfet/yieldlab/internal/buildinfo"
-	"github.com/cnfet/yieldlab/internal/fault"
-	"github.com/cnfet/yieldlab/internal/jobstore"
 	"github.com/cnfet/yieldlab/internal/obs"
-	"github.com/cnfet/yieldlab/internal/renewal"
-	"github.com/cnfet/yieldlab/internal/sweepstore"
 )
 
 // metricsRegistry aggregates per-route request counters, fixed-bucket
@@ -74,22 +70,6 @@ func (m *metricsRegistry) observeStage(stage string, seconds float64) {
 	h.Observe(seconds)
 }
 
-// promSnapshot carries the point-in-time gauges sampled at scrape.
-type promSnapshot struct {
-	uptimeSeconds float64
-	cache         renewal.CacheStats
-	deduped       uint64
-	shed          uint64
-	jobs          map[string]int
-	build         buildinfo.Info
-	// store and journal are nil when the server runs without persistence.
-	store       *sweepstore.Stats
-	journal     *jobstore.Stats
-	journalErrs uint64
-	// faults is nil while the fault registry is disarmed (the normal case).
-	faults []fault.SiteStats
-}
-
 // formatLE renders a bucket bound the way Prometheus clients do: shortest
 // round-trip float, so "0.005" not "5e-03".
 func formatLE(bound float64) string {
@@ -119,9 +99,10 @@ func sortedKeys(m map[string]*obs.Histogram) []string {
 	return keys
 }
 
-// write renders the registry in Prometheus text exposition format, with
-// keys sorted so scrapes are deterministic.
-func (m *metricsRegistry) write(w http.ResponseWriter, snap promSnapshot) {
+// write renders the registry plus the server's stats snapshot and build
+// metadata in Prometheus text exposition format, with keys sorted so
+// scrapes are deterministic.
+func (m *metricsRegistry) write(w http.ResponseWriter, snap StatsJSON, build buildinfo.Info) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 
 	m.mu.Lock()
@@ -171,52 +152,52 @@ func (m *metricsRegistry) write(w http.ResponseWriter, snap promSnapshot) {
 
 	b.WriteString("# HELP yieldserver_sweep_cache_hits_total Sweep cache hits.\n")
 	b.WriteString("# TYPE yieldserver_sweep_cache_hits_total counter\n")
-	fmt.Fprintf(&b, "yieldserver_sweep_cache_hits_total %d\n", snap.cache.Hits)
+	fmt.Fprintf(&b, "yieldserver_sweep_cache_hits_total %d\n", snap.SweepCache.Hits)
 	b.WriteString("# HELP yieldserver_sweep_cache_misses_total Sweep cache misses.\n")
 	b.WriteString("# TYPE yieldserver_sweep_cache_misses_total counter\n")
-	fmt.Fprintf(&b, "yieldserver_sweep_cache_misses_total %d\n", snap.cache.Misses)
+	fmt.Fprintf(&b, "yieldserver_sweep_cache_misses_total %d\n", snap.SweepCache.Misses)
 	b.WriteString("# HELP yieldserver_sweep_cache_evictions_total Models evicted from the sweep cache.\n")
 	b.WriteString("# TYPE yieldserver_sweep_cache_evictions_total counter\n")
-	fmt.Fprintf(&b, "yieldserver_sweep_cache_evictions_total %d\n", snap.cache.Evictions)
+	fmt.Fprintf(&b, "yieldserver_sweep_cache_evictions_total %d\n", snap.SweepCache.Evictions)
 	b.WriteString("# HELP yieldserver_sweep_cache_entries Models currently cached.\n")
 	b.WriteString("# TYPE yieldserver_sweep_cache_entries gauge\n")
-	fmt.Fprintf(&b, "yieldserver_sweep_cache_entries %d\n", snap.cache.Entries)
+	fmt.Fprintf(&b, "yieldserver_sweep_cache_entries %d\n", snap.SweepCache.Entries)
 	b.WriteString("# HELP yieldserver_sweeps_total Renewal arrival sweeps computed.\n")
 	b.WriteString("# TYPE yieldserver_sweeps_total counter\n")
-	fmt.Fprintf(&b, "yieldserver_sweeps_total %d\n", snap.cache.Sweeps)
+	fmt.Fprintf(&b, "yieldserver_sweeps_total %d\n", snap.SweepCache.Sweeps)
 	b.WriteString("# HELP yieldserver_deduped_requests_total Computations served by another caller's in-flight evaluation.\n")
 	b.WriteString("# TYPE yieldserver_deduped_requests_total counter\n")
-	fmt.Fprintf(&b, "yieldserver_deduped_requests_total %d\n", snap.deduped)
+	fmt.Fprintf(&b, "yieldserver_deduped_requests_total %d\n", snap.DedupedRequests)
 	b.WriteString("# HELP yieldserver_shed_requests_total Synchronous sweeps refused at the in-flight bound with a retryable 503.\n")
 	b.WriteString("# TYPE yieldserver_shed_requests_total counter\n")
-	fmt.Fprintf(&b, "yieldserver_shed_requests_total %d\n", snap.shed)
+	fmt.Fprintf(&b, "yieldserver_shed_requests_total %d\n", snap.ShedRequests)
 
-	if snap.store != nil {
+	if snap.Store != nil {
 		b.WriteString("# HELP yieldserver_store_rejects_total Sweep-store files refused for integrity or format reasons.\n")
 		b.WriteString("# TYPE yieldserver_store_rejects_total counter\n")
-		fmt.Fprintf(&b, "yieldserver_store_rejects_total %d\n", snap.store.Rejects)
+		fmt.Fprintf(&b, "yieldserver_store_rejects_total %d\n", snap.Store.Rejects)
 		b.WriteString("# HELP yieldserver_store_quarantined_total Corrupt sweep-store files renamed aside to .bad.\n")
 		b.WriteString("# TYPE yieldserver_store_quarantined_total counter\n")
-		fmt.Fprintf(&b, "yieldserver_store_quarantined_total %d\n", snap.store.Quarantined)
+		fmt.Fprintf(&b, "yieldserver_store_quarantined_total %d\n", snap.Store.Quarantined)
 		b.WriteString("# HELP yieldserver_store_retries_total Sweep-store save attempts repeated after transient failures.\n")
 		b.WriteString("# TYPE yieldserver_store_retries_total counter\n")
-		fmt.Fprintf(&b, "yieldserver_store_retries_total %d\n", snap.store.Retries)
+		fmt.Fprintf(&b, "yieldserver_store_retries_total %d\n", snap.Store.Retries)
 	}
-	if snap.journal != nil {
+	if snap.Journal != nil {
 		b.WriteString("# HELP yieldserver_job_journal_puts_total Job records journaled.\n")
 		b.WriteString("# TYPE yieldserver_job_journal_puts_total counter\n")
-		fmt.Fprintf(&b, "yieldserver_job_journal_puts_total %d\n", snap.journal.Puts)
+		fmt.Fprintf(&b, "yieldserver_job_journal_puts_total %d\n", snap.Journal.Puts)
 		b.WriteString("# HELP yieldserver_job_journal_quarantined_total Corrupt job records renamed aside to .bad.\n")
 		b.WriteString("# TYPE yieldserver_job_journal_quarantined_total counter\n")
-		fmt.Fprintf(&b, "yieldserver_job_journal_quarantined_total %d\n", snap.journal.Quarantined)
+		fmt.Fprintf(&b, "yieldserver_job_journal_quarantined_total %d\n", snap.Journal.Quarantined)
 		b.WriteString("# HELP yieldserver_job_journal_errors_total Journal failures seen by the job engine (durability degraded, jobs unaffected).\n")
 		b.WriteString("# TYPE yieldserver_job_journal_errors_total counter\n")
-		fmt.Fprintf(&b, "yieldserver_job_journal_errors_total %d\n", snap.journalErrs)
+		fmt.Fprintf(&b, "yieldserver_job_journal_errors_total %d\n", snap.Journal.EngineErrors)
 	}
-	if len(snap.faults) > 0 {
+	if len(snap.Faults) > 0 {
 		b.WriteString("# HELP yieldserver_fault_injections_total Armed fault-injection sites: calls seen and faults fired.\n")
 		b.WriteString("# TYPE yieldserver_fault_injections_total counter\n")
-		for _, fs := range snap.faults {
+		for _, fs := range snap.Faults {
 			fmt.Fprintf(&b, "yieldserver_fault_injections_total{site=%q,outcome=\"fired\"} %d\n", fs.Site, fs.Fired)
 			fmt.Fprintf(&b, "yieldserver_fault_injections_total{site=%q,outcome=\"passed\"} %d\n", fs.Site, fs.Calls-fs.Fired)
 		}
@@ -224,23 +205,23 @@ func (m *metricsRegistry) write(w http.ResponseWriter, snap promSnapshot) {
 
 	b.WriteString("# HELP yieldserver_jobs Jobs by state.\n")
 	b.WriteString("# TYPE yieldserver_jobs gauge\n")
-	states := make([]string, 0, len(snap.jobs))
-	for st := range snap.jobs {
+	states := make([]string, 0, len(snap.Jobs))
+	for st := range snap.Jobs {
 		states = append(states, st)
 	}
 	sort.Strings(states)
 	for _, st := range states {
-		fmt.Fprintf(&b, "yieldserver_jobs{state=%q} %d\n", st, snap.jobs[st])
+		fmt.Fprintf(&b, "yieldserver_jobs{state=%q} %d\n", st, snap.Jobs[st])
 	}
 
 	b.WriteString("# HELP yieldserver_build_info Build metadata; the value is always 1.\n")
 	b.WriteString("# TYPE yieldserver_build_info gauge\n")
 	fmt.Fprintf(&b, "yieldserver_build_info{version=%q,revision=%q,go_version=%q} 1\n",
-		snap.build.Version, snap.build.Revision, snap.build.GoVersion)
+		build.Version, build.Revision, build.GoVersion)
 
 	b.WriteString("# HELP yieldserver_uptime_seconds Seconds since the server started.\n")
 	b.WriteString("# TYPE yieldserver_uptime_seconds gauge\n")
-	fmt.Fprintf(&b, "yieldserver_uptime_seconds %g\n", snap.uptimeSeconds)
+	fmt.Fprintf(&b, "yieldserver_uptime_seconds %g\n", snap.UptimeSeconds)
 
 	_, _ = io.WriteString(w, b.String()) //yield:allow(errenvelope) /metrics speaks the Prometheus text exposition format, not the JSON envelope
 }

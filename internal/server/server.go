@@ -24,8 +24,12 @@
 // byte-identical to their /v2/query counterparts and all endpoints share
 // one validation/evaluation/encoding path. Deterministic GETs carry an
 // ETag derived from the spec's canonical fingerprint and honor
-// If-None-Match with 304. Errors use one envelope:
-// {"error": {"code", "message"}} — including 404/405 on unknown paths.
+// If-None-Match with 304. POST /v1/experiments is a translation too: its
+// {experiments, seed} body becomes an experiment QuerySpec submitted as a
+// job exactly like /v2/query?async=1, only rendered in the experiments-job
+// form. /v1/stats and /metrics render one stats snapshot. Errors use one
+// envelope: {"error": {"code", "message"}} — including 404/405 on unknown
+// paths.
 //
 // Request cost is dominated by cold renewal sweeps; three layers keep them
 // rare: renewal.SweepCache shares swept tables across corners and requests,
@@ -44,6 +48,7 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -57,7 +62,6 @@ import (
 	"github.com/cnfet/yieldlab/internal/obs"
 	"github.com/cnfet/yieldlab/internal/query"
 	"github.com/cnfet/yieldlab/internal/renewal"
-	"github.com/cnfet/yieldlab/internal/rowyield"
 	"github.com/cnfet/yieldlab/internal/sweepstore"
 )
 
@@ -134,7 +138,6 @@ type Server struct {
 	cfg     Config
 	params  experiments.Params
 	session *query.Session
-	runner  *experiments.Runner
 	cache   *renewal.SweepCache
 	flight  flightGroup
 	jobs    *jobEngine
@@ -206,7 +209,6 @@ func New(cfg Config) (*Server, error) {
 		cfg:       cfg,
 		params:    cfg.Params,
 		session:   session,
-		runner:    session.Runner(),
 		cache:     session.Cache(),
 		metrics:   newMetricsRegistry(),
 		slowlog:   obs.NewSlowLog(cfg.SlowLogEntries, cfg.SlowLogThreshold),
@@ -219,8 +221,8 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxInFlightSweeps > 0 {
 		s.inflight = make(chan struct{}, cfg.MaxInFlightSweeps)
 	}
-	s.jobs = newJobEngine(cfg.MaxJobs, cfg.ConcurrentJobs, s.session.Checkpoint, cfg.Jobs)
-	if resumed, err := s.jobs.adopt(session, s.runner, cfg.Params.Workers); err != nil {
+	s.jobs = newJobEngine(session, cfg.MaxJobs, cfg.ConcurrentJobs, cfg.Jobs)
+	if resumed, err := s.jobs.adopt(); err != nil {
 		session.Close()
 		return nil, fmt.Errorf("adopting job journal: %w", err)
 	} else if resumed > 0 {
@@ -273,10 +275,10 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /v1/corners", s.handleCorners)
-	s.mux.HandleFunc("GET /v1/pf", s.handlePF)
+	s.mux.HandleFunc("GET /v1/pf", s.handleV1(s.pfSpec, func(res query.Result) any { return res.PF }))
 	s.mux.HandleFunc("POST /v1/pf/batch", s.handlePFBatch)
-	s.mux.HandleFunc("GET /v1/wmin", s.handleWmin)
-	s.mux.HandleFunc("GET /v1/rowyield", s.handleRowYield)
+	s.mux.HandleFunc("GET /v1/wmin", s.handleV1(s.wminSpec, func(res query.Result) any { return res.Wmin }))
+	s.mux.HandleFunc("GET /v1/rowyield", s.handleV1(s.rowYieldSpec, func(res query.Result) any { return res.RowYield }))
 	s.mux.HandleFunc("POST /v2/query", s.handleQuery)
 	s.mux.HandleFunc("POST /v1/experiments", s.handleExperiments)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
@@ -316,7 +318,8 @@ func corners() []CornerJSON {
 
 // cornerSpec fills the spec's corner fields from query-string values: a
 // named corner, or explicit pm/prs overrides.
-func cornerSpec(spec *query.Spec, name, pmStr, prsStr string) error {
+func cornerSpec(spec *query.Spec, q url.Values) error {
+	name, pmStr, prsStr := q.Get("corner"), q.Get("pm"), q.Get("prs")
 	if pmStr == "" && prsStr == "" {
 		spec.Corner = name
 		return nil
@@ -348,23 +351,6 @@ func (s *Server) deviceModel(p device.FailureParams) (*device.FailureModel, erro
 		return nil, err
 	}
 	return v.(*device.FailureModel), nil
-}
-
-// evaluate runs one concrete spec through the session, deduplicating
-// identical concurrent evaluations singleflight-style on the spec's
-// canonical fingerprint.
-func (s *Server) evaluate(r *http.Request, spec query.Spec) (query.Result, error) {
-	_, fp, err := spec.Canonical()
-	if err != nil {
-		return query.Result{}, err
-	}
-	v, err := s.flight.do(fp, func() (any, error) {
-		return s.session.Evaluate(r.Context(), spec)
-	})
-	if err != nil {
-		return query.Result{}, err
-	}
-	return v.(query.Result), nil
 }
 
 // --- caching headers -------------------------------------------------------
@@ -426,37 +412,49 @@ func (s *Server) handleCorners(w http.ResponseWriter, r *http.Request) {
 // of the shared query result payload.
 type PFJSON = query.PFResult
 
-func (s *Server) handlePF(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	spec := query.Spec{Kind: query.KindPF}
-	if err := cornerSpec(&spec, q.Get("corner"), q.Get("pm"), q.Get("prs")); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+// handleV1 builds a /v1 evaluation GET from its parameter→Spec translation
+// and the result payload it answers with. The handler canonicalises the
+// spec once, answers a matching If-None-Match with 304, evaluates through
+// the flight group keyed by the fingerprint (identical concurrent requests
+// share one evaluation), checkpoints new sweeps and writes the payload.
+func (s *Server) handleV1(parse func(url.Values) (query.Spec, error), payload func(query.Result) any) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		spec, err := parse(r.URL.Query())
+		if err != nil {
+			writeError(w, http.StatusBadRequest, err)
+			return
+		}
+		canon, fp, err := spec.Canonical()
+		if err != nil {
+			writeError(w, http.StatusBadRequest, err)
+			return
+		}
+		etag := s.etagFor(fp)
+		if notModified(w, r, etag) {
+			return
+		}
+		v, err := s.flight.do(fp, func() (any, error) {
+			return s.session.Evaluate(r.Context(), canon)
+		})
+		if err != nil {
+			writeEvalError(w, err)
+			return
+		}
+		defer s.session.Checkpoint()
+		setCacheHeaders(w, etag)
+		writeJSON(w, http.StatusOK, payload(v.(query.Result)))
 	}
-	width, err := s.parseWidth(q.Get("width"))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+}
+
+// pfSpec translates /v1/pf parameters: corner, width, node.
+func (s *Server) pfSpec(q url.Values) (query.Spec, error) {
+	spec := query.Spec{Kind: query.KindPF, Node: q.Get("node")}
+	if err := cornerSpec(&spec, q); err != nil {
+		return spec, err
 	}
-	spec.WidthNM = width
-	spec.Node = q.Get("node")
-	_, fp, err := spec.Canonical()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	etag := s.etagFor(fp)
-	if notModified(w, r, etag) {
-		return
-	}
-	res, err := s.evaluate(r, spec)
-	if err != nil {
-		writeEvalError(w, err)
-		return
-	}
-	defer s.session.Checkpoint()
-	setCacheHeaders(w, etag)
-	writeJSON(w, http.StatusOK, res.PF)
+	var err error
+	spec.WidthNM, err = s.parseWidth(q.Get("width"))
+	return spec, err
 }
 
 // BatchPointJSON is one requested (corner, width) evaluation.
@@ -542,143 +540,47 @@ func (s *Server) handlePFBatch(w http.ResponseWriter, r *http.Request) {
 // shared query result payload.
 type WminJSON = query.WminResult
 
-func (s *Server) handleWmin(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	spec := query.Spec{Kind: query.KindWmin}
-	if err := cornerSpec(&spec, q.Get("corner"), q.Get("pm"), q.Get("prs")); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+// wminSpec translates /v1/wmin parameters: corner, relax, m, yield, node.
+// Only explicitly given parameters enter the spec: the session resolves the
+// defaults, so an unqualified /v1 request canonicalizes to the same
+// fingerprint (and ETag) as its zero-valued /v2 spec.
+func (s *Server) wminSpec(q url.Values) (query.Spec, error) {
+	spec := query.Spec{Kind: query.KindWmin, Node: q.Get("node")}
+	if err := cornerSpec(&spec, q); err != nil {
+		return spec, err
 	}
-	// Only explicitly given parameters enter the spec: the session resolves
-	// the defaults, so an unqualified /v1 request canonicalizes to the same
-	// fingerprint (and ETag) as its zero-valued /v2 spec.
-	var err error
-	if v := q.Get("relax"); v != "" {
-		if spec.RelaxFactor, err = parseFloat("relax", v); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-	}
-	if v := q.Get("m"); v != "" {
-		if spec.M, err = parseFloat("m", v); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-	}
-	if v := q.Get("yield"); v != "" {
-		if spec.DesiredYield, err = parseFloat("yield", v); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-	}
-	spec.Node = q.Get("node")
-	_, fp, err := spec.Canonical()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	etag := s.etagFor(fp)
-	if notModified(w, r, etag) {
-		return
-	}
-	res, err := s.evaluate(r, spec)
-	if err != nil {
-		writeEvalError(w, err)
-		return
-	}
-	defer s.session.Checkpoint()
-	setCacheHeaders(w, etag)
-	writeJSON(w, http.StatusOK, res.Wmin)
+	return spec, errors.Join(
+		optFloat(q, "relax", &spec.RelaxFactor),
+		optFloat(q, "m", &spec.M),
+		optFloat(q, "yield", &spec.DesiredYield))
 }
 
 // RowYieldJSON is one row-correlation scenario evaluation — the /v1 wire
 // name of the shared query result payload.
 type RowYieldJSON = query.RowYieldResult
 
-var rowScenarios = map[string]rowyield.Scenario{
-	"uncorrelated": rowyield.UncorrelatedGrowth,
-	"unaligned":    rowyield.DirectionalUnaligned,
-	"aligned":      rowyield.DirectionalAligned,
-}
-
-func (s *Server) handleRowYield(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	spec := query.Spec{Kind: query.KindRowYield}
-	if err := cornerSpec(&spec, q.Get("corner"), q.Get("pm"), q.Get("prs")); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+// rowYieldSpec translates /v1/rowyield parameters: corner, scenario, width,
+// rounds, mc_method, rel_err, krows, node. The session computes the Eq. 3.1
+// chip yield for krows, so the fingerprint — ETag and dedup key alike —
+// covers the full request.
+func (s *Server) rowYieldSpec(q url.Values) (query.Spec, error) {
+	spec := query.Spec{Kind: query.KindRowYield, Scenario: q.Get("scenario"),
+		MCMethod: q.Get("mc_method"), Node: q.Get("node")}
+	if err := cornerSpec(&spec, q); err != nil {
+		return spec, err
 	}
-	spec.Scenario = q.Get("scenario")
-	if _, ok := rowScenarios[spec.Scenario]; !ok {
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("unknown scenario %q (have uncorrelated, unaligned, aligned)", spec.Scenario))
-		return
+	var err error
+	if spec.WidthNM, err = s.parseWidth(q.Get("width")); err != nil {
+		return spec, err
 	}
-	width, err := s.parseWidth(q.Get("width"))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	spec.WidthNM = width
 	if v := q.Get("rounds"); v != "" {
-		spec.Rounds, err = strconv.Atoi(v)
-		if err != nil || spec.Rounds < 2 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("rounds %q must be an integer ≥ 2", v))
-			return
-		}
-		if spec.Rounds > s.cfg.MaxRowRounds {
-			writeError(w, http.StatusBadRequest,
-				fmt.Errorf("rounds %d exceeds limit %d", spec.Rounds, s.cfg.MaxRowRounds))
-			return
+		if spec.Rounds, err = strconv.Atoi(v); err != nil || spec.Rounds < 2 {
+			return spec, fmt.Errorf("rounds %q must be an integer ≥ 2", v)
 		}
 	}
-	spec.MCMethod = q.Get("mc_method")
-	if v := q.Get("rel_err"); v != "" {
-		if spec.RelErrTarget, err = parseFloat("rel_err", v); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-	}
-	krows := 0.0
-	if v := q.Get("krows"); v != "" {
-		if krows, err = parseFloat("krows", v); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-	}
-	spec.Node = q.Get("node")
-
-	// The ETag covers the full request (krows included); the evaluation —
-	// and its singleflight key — leaves krows out on purpose: it only
-	// scales the final closed form, so requests differing in krows alone
-	// still share one computation and the scaling is applied per caller.
-	spec.KRows = krows
-	_, fullFP, err := spec.Canonical()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	etag := s.etagFor(fullFP)
-	if notModified(w, r, etag) {
-		return
-	}
-	spec.KRows = 0
-	res, err := s.evaluate(r, spec)
-	if err != nil {
-		writeEvalError(w, err)
-		return
-	}
-	out := *res.RowYield
-	if krows > 0 {
-		out.KRows = krows
-		if out.ChipYield, err = rowyield.CorrelatedYield(krows, out.PRF); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-	}
-	defer s.session.Checkpoint()
-	setCacheHeaders(w, etag)
-	writeJSON(w, http.StatusOK, out)
+	return spec, errors.Join(
+		optFloat(q, "rel_err", &spec.RelErrTarget),
+		optFloat(q, "krows", &spec.KRows))
 }
 
 // --- /v2/query -------------------------------------------------------------
@@ -709,13 +611,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if isAsync(r) {
-		job, err := s.jobs.submitQuery(r.Context(), s.session, canon, fp)
-		if err != nil {
-			writeUnavailable(w, err)
-			return
-		}
-		w.Header().Set("Location", "/v1/jobs/"+job.ID)
-		writeJSON(w, http.StatusAccepted, job)
+		s.submitJob(w, r, JobKindQuery, canon, fp)
 		return
 	}
 
@@ -768,70 +664,36 @@ func isAsync(r *http.Request) bool {
 
 // --- experiment jobs -------------------------------------------------------
 
-// ExperimentRequestJSON submits a job.
+// ExperimentRequestJSON submits an experiments job.
 type ExperimentRequestJSON struct {
 	// Experiments lists experiment names; ["all"] expands to the paper set.
 	Experiments []string `json:"experiments"`
-	// Optional parameter overrides (zero = server default).
-	Seed      uint64 `json:"seed,omitempty"`
-	Rounds    int    `json:"rounds,omitempty"`
-	Instances int    `json:"instances,omitempty"`
-	Workers   int    `json:"workers,omitempty"`
+	// Seed overrides the Monte Carlo root seed (0 = server default).
+	Seed uint64 `json:"seed,omitempty"`
 }
 
+// handleExperiments translates the request onto an experiment QuerySpec
+// and submits it as a job rendered in the experiments-job form.
 func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 	var req ExperimentRequestJSON
 	if err := decodeBody(r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if len(req.Experiments) == 0 {
-		writeError(w, http.StatusBadRequest, errors.New("no experiments requested"))
+	spec := query.Spec{Kind: query.KindExperiment, Experiments: req.Experiments, Seed: req.Seed}
+	canon, fp, err := spec.Canonical()
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	var names []string
-	for _, n := range req.Experiments {
-		if n == "all" {
-			names = append(names, experiments.Names()...)
-			continue
-		}
-		if !experiments.Known(n) {
-			msg := fmt.Sprintf("unknown experiment %q", n)
-			if hint, ok := experiments.Suggest(n); ok {
-				msg += fmt.Sprintf(" (did you mean %q?)", hint)
-			}
-			writeError(w, http.StatusBadRequest, errors.New(msg))
-			return
-		}
-		names = append(names, n)
-	}
+	s.submitJob(w, r, JobKindExperiments, canon, fp)
+}
 
-	runner := s.runner
-	params := s.params
-	if req.Seed != 0 || req.Rounds != 0 || req.Instances != 0 {
-		if req.Seed != 0 {
-			params.Seed = req.Seed
-		}
-		if req.Rounds != 0 {
-			params.MCRounds = req.Rounds
-		}
-		if req.Instances != 0 {
-			params.NetlistInstances = req.Instances
-		}
-		if err := params.Validate(); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		// Override runners share the server's sweep cache, so even custom
-		// jobs reuse (and contribute) swept tables.
-		runner = experiments.NewWithCache(params, s.cache)
-	}
-	workers := params.Workers
-	if req.Workers != 0 {
-		workers = req.Workers
-	}
-
-	job, err := s.jobs.submit(r.Context(), runner, names, workers)
+// submitJob queues a canonical spec as a job rendered as kind and answers
+// 202 with the job and its Location, or a retryable 503 when the queue is
+// full.
+func (s *Server) submitJob(w http.ResponseWriter, r *http.Request, kind string, canon query.Spec, fp string) {
+	job, err := s.jobs.submitQuery(r.Context(), kind, canon, fp)
 	if err != nil {
 		writeUnavailable(w, err)
 		return
@@ -903,7 +765,9 @@ type JournalStatsJSON struct {
 	LastError    string `json:"last_error,omitempty"`
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+// stats takes the one point-in-time snapshot that /v1/stats and /metrics
+// both render, so the two surfaces cannot disagree.
+func (s *Server) stats() StatsJSON {
 	var out StatsJSON
 	out.UptimeSeconds = time.Since(s.start).Seconds()
 	cs := s.cache.Stats()
@@ -933,30 +797,15 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	out.Faults = fault.Stats()
-	writeJSON(w, http.StatusOK, out)
+	return out
+}
+
+func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, s.stats())
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	cs := s.cache.Stats()
-	snap := promSnapshot{
-		uptimeSeconds: time.Since(s.start).Seconds(),
-		cache:         cs,
-		deduped:       s.flight.sharedCount(),
-		shed:          s.shed.Load(),
-		jobs:          s.jobs.counts(),
-		build:         buildinfo.Get(),
-		faults:        fault.Stats(),
-	}
-	if store := s.session.Store(); store != nil {
-		st := store.Stats()
-		snap.store = &st
-	}
-	if s.cfg.Jobs != nil {
-		jst := s.cfg.Jobs.Stats()
-		snap.journal = &jst
-		snap.journalErrs, _ = s.jobs.journalStats()
-	}
-	s.metrics.write(w, snap)
+	s.metrics.write(w, s.stats(), buildinfo.Get())
 }
 
 // SlowLogJSON is the /debug/slowlog payload.
@@ -1058,6 +907,20 @@ func parseFloat(name, v string) (float64, error) {
 		return 0, fmt.Errorf("parameter %s=%q is not a finite number", name, v)
 	}
 	return f, nil
+}
+
+// optFloat parses the optional parameter name into dst, leaving dst
+// untouched when the parameter is absent.
+func optFloat(q url.Values, name string, dst *float64) error {
+	v := q.Get(name)
+	if v == "" {
+		return nil
+	}
+	f, err := parseFloat(name, v)
+	if err == nil {
+		*dst = f
+	}
+	return err
 }
 
 // decodeBody strictly decodes a bounded JSON body.

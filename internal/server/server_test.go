@@ -349,7 +349,7 @@ func TestJobValidation(t *testing.T) {
 	if code := postJSON(t, ts.URL+"/v1/experiments", ExperimentRequestJSON{}, nil); code != http.StatusBadRequest {
 		t.Fatalf("empty: status %d", code)
 	}
-	bad := ExperimentRequestJSON{Experiments: []string{"fig2.2a"}, Rounds: 1}
+	bad := json.RawMessage(`{"experiments":["fig2.2a"],"rounds":1}`)
 	if code := postJSON(t, ts.URL+"/v1/experiments", bad, &out); code != http.StatusBadRequest {
 		t.Fatalf("bad override: status %d", code)
 	}

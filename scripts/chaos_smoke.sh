@@ -20,9 +20,24 @@ STORE="$(mktemp -d)"
 WORK="$(mktemp -d)"
 BIN="$WORK/yieldserver"
 
+# Every exit path — success, or any failed step under set -e —
+# stops the server this script started and removes its temp dirs.
+SERVER_PID=
+stop_server() {
+  if [ -n "$SERVER_PID" ]; then
+    kill -TERM "$SERVER_PID" 2>/dev/null || true
+    wait "$SERVER_PID" 2>/dev/null || true
+    SERVER_PID=
+  fi
+}
+cleanup() {
+  stop_server
+  rm -rf "$STORE" "$WORK"
+}
+trap cleanup EXIT
+
 go build -race -o "$BIN" ./cmd/yieldserver
 
-SERVER_PID=
 start_server() { # $1 = YIELD_FAILPOINTS spec (empty = no faults)
   YIELD_FAILPOINTS="${1:-}" "$BIN" -addr "$ADDR" -store "$STORE" -calibrate=false &
   SERVER_PID=$!
@@ -32,10 +47,6 @@ start_server() { # $1 = YIELD_FAILPOINTS spec (empty = no faults)
   done
   echo "chaos smoke: server did not come up" >&2
   exit 1
-}
-stop_server() {
-  kill -TERM "$SERVER_PID" 2>/dev/null || true
-  wait "$SERVER_PID" 2>/dev/null || true
 }
 
 SPEC='{"kind":"pf","width_nm":155,"sweep":{"widths_nm":[100,150,200]}}'
@@ -55,6 +66,7 @@ if wait "$SERVER_PID" 2>/dev/null; then
   echo "chaos smoke: server survived an armed job.result panic" >&2
   exit 1
 fi
+SERVER_PID=
 # The atomically-renamed journal record survived the crash.
 test -f "$STORE/jobs/$JOB.job"
 

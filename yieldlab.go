@@ -216,7 +216,7 @@ func NewServer(cfg ServerConfig) (*Server, error) { return server.New(cfg) }
 // WriteResultsJSON renders experiment results as the service's JSON schema —
 // the encoding behind both the job API and `cnfetyield -json`.
 func WriteResultsJSON(w io.Writer, results []*Result) error {
-	return server.WriteResults(w, results)
+	return query.WriteResults(w, results)
 }
 
 // KnownExperiment reports whether name is a paper or extension experiment.
